@@ -20,7 +20,7 @@ use crate::engine::TransportKind;
 use crate::engine::{EngineConfig, EngineKind};
 use crate::lang::{GTravel, LangError, Plan};
 use crate::lockorder::OrderedMutex;
-use crate::message::{Msg, ProgressSnapshot, TravelOutcome};
+use crate::message::{CopyKind, Msg, ProgressSnapshot, TravelOutcome};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, TravelMetrics};
 use crate::server::{spawn, DetectionConfig, ServerArgs, ServerHandle};
 use crate::TravelId;
@@ -1111,10 +1111,6 @@ impl ClusterState {
             | Msg::MigrateFinish { .. }
             | Msg::Heartbeat { .. }
             | Msg::SuspectAck { .. }
-            | Msg::ReReplicateBegin { .. }
-            | Msg::ReReplicateData { .. }
-            | Msg::ReReplicateCutover { .. }
-            | Msg::ReReplicateFinish { .. }
             | Msg::Crash
             | Msg::Shutdown => None,
         }
@@ -1941,63 +1937,103 @@ impl ClusterState {
     /// keeps its (now stale, never again written) copy, so stragglers
     /// routed under the old map still read correct data.
     pub fn migrate(&self, partition: usize, to: usize) -> Result<(), ClusterError> {
+        self.copy_partition(partition, to, CopyKind::Move)
+    }
+
+    /// Copy `partition` from its primary onto `to` under live traffic:
+    /// snapshot transfer from the primary's store segments, mutation delta
+    /// catch-up, then the cutover's map edit — `Move` flips the primary to
+    /// `to`, `AddReplica` adds `to` to the replica set. Bulk chunks ride
+    /// the `Bulk` traffic class.
+    fn copy_partition(
+        &self,
+        partition: usize,
+        to: usize,
+        kind: CopyKind,
+    ) -> Result<(), ClusterError> {
+        let (name, timeout) = match kind {
+            CopyKind::Move => ("migrate", Duration::from_secs(60)),
+            CopyKind::AddReplica => ("rereplicate", Duration::from_secs(30)),
+        };
         let snapshot = self.placement.snapshot();
         if to >= self.slots.len() || partition >= snapshot.n_partitions() {
             return Err(ClusterError::Recovery(format!(
-                "migrate({partition}, {to}): no such partition or server"
+                "{name}({partition}, {to}): no such partition or server"
             )));
         }
         let from = snapshot.primary_of(partition);
-        if from == to {
+        let done = match kind {
+            CopyKind::Move => from == to,
+            // Raced another heal — already a holder.
+            CopyKind::AddReplica => snapshot.holders_of(partition).contains(&to),
+        };
+        if done {
             return Ok(());
         }
         if self.server_crashed(from) || self.server_crashed(to) {
             return Err(ClusterError::Recovery(format!(
-                "migrate({partition}, {to}): source or target is down"
+                "{name}({partition}, {to}): source or target is down"
             )));
         }
-        // Migration ids share the travel/request id namespace, so acks
-        // stash cleanly in the client mailbox.
+        // Flow ids share the travel/request id namespace, so acks stash
+        // cleanly in the client mailbox.
         let mig = self.travel_ctr.fetch_add(1, Ordering::Relaxed);
-        let deadline = Instant::now() + Duration::from_secs(60);
-        self.client
-            .send(
-                from,
-                Msg::MigrateBegin {
-                    mig,
-                    partition,
-                    to,
-                    client: self.client.id(),
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)?;
-        // Phase 0: bulk snapshot applied on the target.
-        self.await_client_msg(
-            mig,
-            |m| matches!(m, Msg::MigrateApplied { phase: 0, .. }),
-            deadline,
-        )?;
-        // Phase 1: source seals the delta trap and ships writes that
-        // raced the snapshot.
-        self.client
-            .send(from, Msg::MigrateCutover { mig })
-            .map_err(|_| ClusterError::Disconnected)?;
-        self.await_client_msg(
-            mig,
-            |m| matches!(m, Msg::MigrateApplied { phase: 1, .. }),
-            deadline,
-        )?;
-        // Cutover: flip the primary and broadcast. In-flight frontiers
-        // route to `to` as soon as each server installs the new map.
-        let mut map = self.placement.snapshot();
-        map.set_primary(partition, to);
-        self.broadcast_placement(map)?;
-        for s in [from, to] {
+        let deadline = Instant::now() + timeout;
+        let send = |msg| {
             self.client
-                .send(s, Msg::MigrateFinish { mig })
-                .map_err(|_| ClusterError::Disconnected)?;
-        }
-        Ok(())
+                .send(from, msg)
+                .map_err(|_| ClusterError::Disconnected)
+        };
+        let copy = || {
+            send(Msg::MigrateBegin {
+                mig,
+                partition,
+                to,
+                client: self.client.id(),
+                kind,
+            })?;
+            // Phase 0: bulk snapshot applied on the target.
+            self.await_client_msg(
+                mig,
+                |m| matches!(m, Msg::MigrateApplied { phase: 0, .. }),
+                deadline,
+            )?;
+            // Phase 1: source seals the delta trap and ships writes that
+            // raced the snapshot.
+            send(Msg::MigrateCutover { mig })?;
+            self.await_client_msg(
+                mig,
+                |m| matches!(m, Msg::MigrateApplied { phase: 1, .. }),
+                deadline,
+            )?;
+            // Cutover: edit the map and broadcast. A moved primary takes
+            // in-flight frontiers as soon as each server installs the new
+            // map; an added replica gets every later write to the
+            // partition like any other holder.
+            let mut map = self.placement.snapshot();
+            match kind {
+                CopyKind::Move => {
+                    map.set_primary(partition, to);
+                    self.broadcast_placement(map)
+                }
+                CopyKind::AddReplica => {
+                    if map.add_replica(partition, to) {
+                        self.broadcast_placement(map)?;
+                    }
+                    self.slots[to]
+                        .metrics
+                        .rereplications
+                        .fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }
+            }
+        };
+        let result = copy();
+        // Every exit retires the source's delta trap: one left behind
+        // would record (or, once sealed, ship) every later write to the
+        // partition, forever. The target holds no per-flow state.
+        let finish = send(Msg::MigrateFinish { mig });
+        result.and(finish)
     }
 
     /// Drain a server for removal: mark it decommissioned (it hosts no
@@ -2245,71 +2281,9 @@ impl ClusterState {
                 .filter(|&s| !self.server_crashed(s))
                 .min_by_key(|&s| self.slots[s].metrics.real_io_visits.load(Ordering::Relaxed));
             if let Some(to) = target {
-                let _ = self.rereplicate(partition, to);
+                let _ = self.copy_partition(partition, to, CopyKind::AddReplica);
             }
         }
-    }
-
-    /// Copy `partition` onto `to` as a new replica under live traffic:
-    /// the same snapshot + delta-trap machinery as [`Cluster::migrate`]
-    /// (bulk chunks ride the `Bulk` traffic class), except the cutover
-    /// *adds* `to` to the replica set instead of flipping the primary.
-    fn rereplicate(&self, partition: usize, to: usize) -> Result<(), ClusterError> {
-        let snapshot = self.placement.snapshot();
-        if to >= self.slots.len() || partition >= snapshot.n_partitions() {
-            return Err(ClusterError::Recovery(format!(
-                "rereplicate({partition}, {to}): no such partition or server"
-            )));
-        }
-        let from = snapshot.primary_of(partition);
-        if snapshot.holders_of(partition).contains(&to) {
-            return Ok(()); // raced another heal — already a holder
-        }
-        if self.server_crashed(from) || self.server_crashed(to) {
-            return Err(ClusterError::Recovery(format!(
-                "rereplicate({partition}, {to}): source or target is down"
-            )));
-        }
-        let mig = self.travel_ctr.fetch_add(1, Ordering::Relaxed);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        self.client
-            .send(
-                from,
-                Msg::ReReplicateBegin {
-                    mig,
-                    partition,
-                    to,
-                    client: self.client.id(),
-                },
-            )
-            .map_err(|_| ClusterError::Disconnected)?;
-        // Phase 0: bulk snapshot applied on the target.
-        self.await_client_msg(
-            mig,
-            |m| matches!(m, Msg::MigrateApplied { phase: 0, .. }),
-            deadline,
-        )?;
-        // Phase 1: source seals the delta trap and ships racing writes.
-        self.client
-            .send(from, Msg::ReReplicateCutover { mig })
-            .map_err(|_| ClusterError::Disconnected)?;
-        self.await_client_msg(
-            mig,
-            |m| matches!(m, Msg::MigrateApplied { phase: 1, .. }),
-            deadline,
-        )?;
-        // Cutover: add the replica and broadcast; from here every write
-        // to the partition fans to `to` like any other holder.
-        let mut map = self.placement.snapshot();
-        if map.add_replica(partition, to) {
-            self.broadcast_placement(map)?;
-        }
-        for s in [from, to] {
-            self.client
-                .send(s, Msg::ReReplicateFinish { mig })
-                .map_err(|_| ClusterError::Disconnected)?;
-        }
-        Ok(())
     }
 
     /// Server-side half of [`Cluster::shutdown`]: stop every server and

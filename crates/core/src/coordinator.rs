@@ -127,6 +127,12 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
+    /// Capacity for `n` announced elements of `elem` encoded bytes each,
+    /// capped by what the rest of the blob can hold: blobs also arrive
+    /// from sockets, so a hostile count must not size an allocation.
+    fn capacity(&self, n: usize, elem: usize) -> usize {
+        n.min((self.buf.len() - self.pos) / elem)
+    }
 }
 
 impl LedgerEvent {
@@ -221,7 +227,7 @@ impl LedgerEvent {
             EV_TERMINATED => {
                 let exec = ExecId(r.u64()?);
                 let n = r.u32()? as usize;
-                let mut children = Vec::with_capacity(n.min(1 << 16));
+                let mut children = Vec::with_capacity(r.capacity(n, 10));
                 for _ in 0..n {
                     children.push((ExecId(r.u64()?), r.u16()?));
                 }
@@ -233,7 +239,7 @@ impl LedgerEvent {
             }
             EV_RESULTS => {
                 let n = r.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(1 << 16));
+                let mut items = Vec::with_capacity(r.capacity(n, 10));
                 for _ in 0..n {
                     items.push((r.u16()?, VertexId(r.u64()?)));
                 }
@@ -241,17 +247,17 @@ impl LedgerEvent {
             }
             EV_SNAPSHOT => {
                 let n = r.u32()? as usize;
-                let mut created = Vec::with_capacity(n.min(1 << 16));
+                let mut created = Vec::with_capacity(r.capacity(n, 10));
                 for _ in 0..n {
                     created.push((ExecId(r.u64()?), r.u16()?));
                 }
                 let n = r.u32()? as usize;
-                let mut terminated = Vec::with_capacity(n.min(1 << 16));
+                let mut terminated = Vec::with_capacity(r.capacity(n, 8));
                 for _ in 0..n {
                     terminated.push(ExecId(r.u64()?));
                 }
                 let n = r.u32()? as usize;
-                let mut results = Vec::with_capacity(n.min(1 << 16));
+                let mut results = Vec::with_capacity(r.capacity(n, 10));
                 for _ in 0..n {
                     results.push((r.u16()?, VertexId(r.u64()?)));
                 }

@@ -55,6 +55,15 @@ pub enum SyncExpect {
     OriginTokens(u64),
 }
 
+/// What a partition copy flow (`Migrate*`) does at its cutover.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CopyKind {
+    /// Move the primary role to the target (`Cluster::migrate`).
+    Move,
+    /// Add the target as a new replica (self-healing re-replication).
+    AddReplica,
+}
+
 /// All GraphTrek wire messages.
 ///
 /// Request→acknowledgment pairings that the `*Ack` naming convention
@@ -454,20 +463,24 @@ pub enum Msg {
         /// Truncate the replica before appending.
         reset: bool,
     },
-    /// Migration orchestrator (client) → source server: start migrating
+    /// Copy orchestrator (client) → source primary: start copying
     /// `partition` to server `to` — stream the snapshot, then buffer a
-    /// mutation delta until cutover.
+    /// mutation delta until cutover. One protocol serves live migration
+    /// and self-healing re-replication; only the cutover's map edit,
+    /// chosen by `kind`, differs.
     MigrateBegin {
-        /// Migration id (drawn from the travel-id namespace).
+        /// Flow id (drawn from the travel-id namespace).
         mig: TravelId,
-        /// Partition being moved.
+        /// Partition being copied.
         partition: usize,
         /// Target server.
         to: usize,
-        /// Client endpoint orchestrating the migration.
+        /// Client endpoint orchestrating the flow.
         client: usize,
+        /// Move the primary or add a replica.
+        kind: CopyKind,
     },
-    /// Source → target: one chunk of the partition being migrated.
+    /// Source → target: one chunk of the partition being copied.
     /// `phase` 0 chunks are the snapshot (segment-imported on the
     /// target); `phase` 1 chunks are the sealed mutation delta (applied
     /// through the write path so they shadow the snapshot).
@@ -484,8 +497,10 @@ pub enum Msg {
         phase: u8,
         /// Final chunk of this phase.
         last: bool,
-        /// Client endpoint orchestrating the migration.
+        /// Client endpoint orchestrating the flow.
         client: usize,
+        /// The flow's kind (selects the target's chunk counter).
+        kind: CopyKind,
     },
     /// Target → client: every chunk of `phase` has been applied.
     MigrateApplied {
@@ -502,8 +517,8 @@ pub enum Msg {
         /// Migration id.
         mig: TravelId,
     },
-    /// Client → source and target: the new placement map is live; drop
-    /// all migration state for `mig`.
+    /// Client → source: the flow is over — the new placement map is
+    /// live, or the copy was abandoned; drop the delta trap for `mig`.
     MigrateFinish {
         /// Migration id.
         mig: TravelId,
@@ -544,53 +559,6 @@ pub enum Msg {
         suspect: usize,
         /// Was the peer actually dead?
         confirmed: bool,
-    },
-    /// Healer → source primary: start re-replicating `partition` to the
-    /// new holder `to` — stream a snapshot, then buffer a mutation delta
-    /// until cutover. Reuses the `migrate` snapshot + delta-trap
-    /// machinery; only the cutover differs (the map gains a replica
-    /// instead of re-pointing the primary).
-    ReReplicateBegin {
-        /// Flow id (drawn from the travel-id namespace).
-        mig: TravelId,
-        /// Partition being copied.
-        partition: usize,
-        /// The new replica holder.
-        to: usize,
-        /// Client endpoint orchestrating the flow.
-        client: usize,
-    },
-    /// Source primary → new replica: one chunk of the partition copy.
-    /// Phase semantics match [`Msg::MigrateData`] (0 = snapshot, raw
-    /// import; 1 = sealed delta via the write path); each phase is acked
-    /// with [`Msg::MigrateApplied`].
-    ReReplicateData {
-        /// Flow id.
-        mig: TravelId,
-        /// Partition being copied.
-        partition: usize,
-        /// Raw `(namespace, key, value)` triples; a `None` value is a
-        /// tombstone version (versioned stores ship deletes too, so a
-        /// pinned snapshot resolves identically on the target).
-        pairs: Vec<(String, Vec<u8>, Option<Vec<u8>>)>,
-        /// 0 = snapshot, 1 = delta.
-        phase: u8,
-        /// Final chunk of this phase.
-        last: bool,
-        /// Client endpoint orchestrating the flow.
-        client: usize,
-    },
-    /// Healer → source primary: stop buffering, seal and ship the delta
-    /// as phase-1 chunks.
-    ReReplicateCutover {
-        /// Flow id.
-        mig: TravelId,
-    },
-    /// Healer → source and target: the replica is in the placement map;
-    /// drop all flow state for `mig`.
-    ReReplicateFinish {
-        /// Flow id.
-        mig: TravelId,
     },
 
     // -------------------------------------------------------------- misc
@@ -720,15 +688,6 @@ impl WireSize for Msg {
             Msg::Heartbeat { .. } => 20,
             Msg::Suspect { .. } => 16,
             Msg::SuspectAck { .. } => 12,
-            Msg::ReReplicateBegin { .. } => 32,
-            Msg::ReReplicateData { pairs, .. } => {
-                28 + pairs
-                    .iter()
-                    .map(|(ns, k, v)| 12 + ns.len() + k.len() + v.as_ref().map_or(0, Vec::len))
-                    .sum::<usize>()
-            }
-            Msg::ReReplicateCutover { .. } => 12,
-            Msg::ReReplicateFinish { .. } => 12,
             Msg::Crash => 4,
             Msg::Shutdown => 4,
         }
@@ -740,7 +699,6 @@ impl WireSize for Msg {
             // bulk bandwidth lane so live travels aren't starved; a
             // relayed chunk inherits the class of its payload.
             Msg::MigrateData { .. } => gt_net::TrafficClass::Bulk,
-            Msg::ReReplicateData { .. } => gt_net::TrafficClass::Bulk,
             Msg::Relay { inner, .. } => inner.traffic_class(),
             _ => gt_net::TrafficClass::Interactive,
         }
@@ -821,10 +779,6 @@ impl WireSize for Msg {
             | Msg::MigrateFinish { .. }
             | Msg::Suspect { .. }
             | Msg::SuspectAck { .. }
-            | Msg::ReReplicateBegin { .. }
-            | Msg::ReReplicateData { .. }
-            | Msg::ReReplicateCutover { .. }
-            | Msg::ReReplicateFinish { .. }
             | Msg::Crash
             | Msg::Shutdown => None,
         }
@@ -928,7 +882,7 @@ mod tests {
             .chaos_key(),
             None
         );
-        assert_eq!(Msg::ReReplicateCutover { mig: 4 }.chaos_key(), None);
+        assert_eq!(Msg::MigrateCutover { mig: 4 }.chaos_key(), None);
         assert_eq!(Msg::Crash.chaos_key(), None);
         assert_eq!(Msg::Shutdown.chaos_key(), None);
         // The envelope charges for its header plus the payload.
@@ -970,6 +924,7 @@ mod tests {
             phase: 0,
             last: false,
             client: 3,
+            kind: CopyKind::Move,
         };
         assert_eq!(chunk.traffic_class(), TrafficClass::Bulk);
         assert!(chunk.wire_size() > 40, "chunk charges for its payload");
@@ -992,13 +947,14 @@ mod tests {
         );
         // Re-replication chunks share the bulk lane with migration;
         // their control plane and heartbeats stay interactive.
-        let rr = Msg::ReReplicateData {
+        let rr = Msg::MigrateData {
             mig: 9,
             partition: 1,
             pairs: vec![("verts".to_string(), vec![0u8; 8], Some(vec![1u8; 32]))],
             phase: 0,
             last: false,
             client: 3,
+            kind: CopyKind::AddReplica,
         };
         assert_eq!(rr.traffic_class(), TrafficClass::Bulk);
         assert!(rr.wire_size() > 40, "chunk charges for its payload");

@@ -26,7 +26,7 @@ use crate::engine::{EngineConfig, EngineKind};
 use crate::faults::{CrashPoint, ServerFaults};
 use crate::lang::{vertex_matches, Plan, Source};
 use crate::lockorder::OrderedMutex;
-use crate::message::{Msg, SyncExpect};
+use crate::message::{CopyKind, Msg, SyncExpect};
 use crate::metrics::ServerMetrics;
 use crate::queue::{FifoQueue, MergingQueue, ReqMode, RequestQueue, RequestState, WorkItem};
 use crate::{ExecId, Token, Tokens, TravelId};
@@ -372,20 +372,24 @@ struct PendingIngest {
     wseq: u64,
 }
 
-/// Source-side state of one outgoing shard migration. Writes that touch
+/// Where one outgoing copy flow ships its [`Msg::MigrateData`] chunks.
+#[derive(Clone, Copy)]
+struct CopyTarget {
+    partition: usize,
+    to: usize,
+    client: usize,
+    /// Migration or re-replication: selects the chunk counters.
+    kind: CopyKind,
+}
+
+/// Source-side state of one outgoing partition copy. Writes that touch
 /// the partition while the snapshot ships are trapped here: before the
 /// cutover seals the trap they accumulate as a delta (phase-1 catch-up);
 /// after sealing they are shipped to the target immediately.
 struct MigOut {
-    partition: usize,
-    to: usize,
-    client: usize,
+    target: CopyTarget,
     delta_vids: BTreeSet<VertexId>,
     sealed: bool,
-    /// This flow restores a lost replica (self-healing) rather than
-    /// moving a primary: chunks ship as [`Msg::ReReplicateData`] and
-    /// count the re-replication counters instead of the migration ones.
-    rerep: bool,
 }
 
 struct Shared {
@@ -579,10 +583,6 @@ fn send_travel(sh: &Arc<Shared>, to: usize, travel: TravelId, tepoch: u64, msg: 
             | Msg::Heartbeat { .. }
             | Msg::Suspect { .. }
             | Msg::SuspectAck { .. }
-            | Msg::ReReplicateBegin { .. }
-            | Msg::ReReplicateData { .. }
-            | Msg::ReReplicateCutover { .. }
-            | Msg::ReReplicateFinish { .. }
             | Msg::Crash
             | Msg::Shutdown => false,
         };
@@ -1277,10 +1277,6 @@ fn crash_triggered(sh: &Arc<Shared>, msg: &Msg) -> bool {
             | Msg::Heartbeat { .. }
             | Msg::Suspect { .. }
             | Msg::SuspectAck { .. }
-            | Msg::ReReplicateBegin { .. }
-            | Msg::ReReplicateData { .. }
-            | Msg::ReReplicateCutover { .. }
-            | Msg::ReReplicateFinish { .. }
             | Msg::Crash
             | Msg::Shutdown => false,
         }
@@ -1520,18 +1516,35 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
             partition,
             to,
             client,
-        } => handle_migrate_begin(sh, mig, partition, to, client, false),
+            kind,
+        } => handle_migrate_begin(
+            sh,
+            mig,
+            CopyTarget {
+                partition,
+                to,
+                client,
+                kind,
+            },
+        ),
         Msg::MigrateData {
             mig,
             pairs,
             phase,
             last,
             client,
+            kind,
             ..
         } => {
             // Target side: apply a snapshot (phase 0, bulk segment
             // import) or delta (phase 1, memtable upsert) chunk.
-            sh.metrics.migrate_chunks_in.fetch_add(1, Ordering::Relaxed);
+            match kind {
+                CopyKind::Move => sh.metrics.migrate_chunks_in.fetch_add(1, Ordering::Relaxed),
+                CopyKind::AddReplica => sh
+                    .metrics
+                    .rereplicate_chunks_in
+                    .fetch_add(1, Ordering::Relaxed),
+            };
             let _ = sh.partition.import_raw(pairs, phase == 0);
             if last {
                 let _ = sh.ep.send(
@@ -1547,46 +1560,6 @@ fn handle_msg(sh: &Arc<Shared>, msg: Msg) -> LoopCtl {
         Msg::MigrateCutover { mig } => handle_migrate_cutover(sh, mig),
         Msg::MigrateFinish { mig } => {
             sh.migrations.lock().remove(&mig);
-        }
-        Msg::ReReplicateBegin {
-            mig,
-            partition,
-            to,
-            client,
-        } => handle_migrate_begin(sh, mig, partition, to, client, true),
-        Msg::ReReplicateData {
-            mig,
-            pairs,
-            phase,
-            last,
-            client,
-            ..
-        } => {
-            // Target side of a replica restoration: identical apply path
-            // to a migration chunk, separate dormancy-audited counters.
-            sh.metrics
-                .rereplicate_chunks_in
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = sh.partition.import_raw(pairs, phase == 0);
-            if last {
-                let _ = sh.ep.send(
-                    client,
-                    Msg::MigrateApplied {
-                        mig,
-                        phase,
-                        server: sh.id,
-                    },
-                );
-            }
-        }
-        Msg::ReReplicateCutover { mig } => handle_migrate_cutover(sh, mig),
-        Msg::ReReplicateFinish { mig } => {
-            // The healer finishes both ends of the flow; only the target
-            // (which has no source-side entry to clean up) counts the
-            // restored replica.
-            if sh.migrations.lock().remove(&mig).is_none() {
-                sh.metrics.rereplications.fetch_add(1, Ordering::Relaxed);
-            }
         }
         Msg::GetVertex {
             req,
@@ -1761,31 +1734,31 @@ fn capture_migration_delta(
     if touched.is_empty() {
         return;
     }
-    let mut ship: Vec<(TravelId, usize, usize, usize, BTreeSet<VertexId>, bool)> = Vec::new();
+    let mut ship: Vec<(TravelId, CopyTarget, BTreeSet<VertexId>)> = Vec::new();
     {
         let mut migs = sh.migrations.lock();
         for (mig, m) in migs.iter_mut() {
             let hit: BTreeSet<VertexId> = touched
                 .iter()
                 .copied()
-                .filter(|&v| sh.placement.partition_of_vid(v) == m.partition)
+                .filter(|&v| sh.placement.partition_of_vid(v) == m.target.partition)
                 .collect();
             if hit.is_empty() {
                 continue;
             }
             if m.sealed {
-                ship.push((*mig, m.partition, m.to, m.client, hit, m.rerep));
+                ship.push((*mig, m.target, hit));
             } else {
                 m.delta_vids.extend(hit);
             }
         }
     }
-    for (mig, partition, to, client, vids, rerep) in ship {
+    for (mig, target, vids) in ship {
         let pairs = sh
             .partition
             .export_where(|v| vids.contains(&v))
             .unwrap_or_default();
-        ship_migrate_chunks(sh, mig, partition, to, client, pairs, 1, false, rerep);
+        ship_migrate_chunks(sh, mig, target, pairs, 1, false);
     }
 }
 
@@ -1794,30 +1767,20 @@ fn capture_migration_delta(
 /// is registered *before* the snapshot export so a concurrent write can
 /// never fall between them — a write captured by both is applied twice on
 /// the target, and the second apply is an idempotent upsert.
-fn handle_migrate_begin(
-    sh: &Arc<Shared>,
-    mig: TravelId,
-    partition: usize,
-    to: usize,
-    client: usize,
-    rerep: bool,
-) {
+fn handle_migrate_begin(sh: &Arc<Shared>, mig: TravelId, target: CopyTarget) {
     sh.migrations.lock().insert(
         mig,
         MigOut {
-            partition,
-            to,
-            client,
+            target,
             delta_vids: BTreeSet::new(),
             sealed: false,
-            rerep,
         },
     );
     let pairs = sh
         .partition
-        .export_where(|v| sh.placement.partition_of_vid(v) == partition)
+        .export_where(|v| sh.placement.partition_of_vid(v) == target.partition)
         .unwrap_or_default();
-    ship_migrate_chunks(sh, mig, partition, to, client, pairs, 0, true, rerep);
+    ship_migrate_chunks(sh, mig, target, pairs, 0, true);
 }
 
 /// Source side, phase 1 (cutover): seal the delta trap and ship every
@@ -1828,23 +1791,17 @@ fn handle_migrate_cutover(sh: &Arc<Shared>, mig: TravelId) {
         let mut migs = sh.migrations.lock();
         migs.get_mut(&mig).map(|m| {
             m.sealed = true;
-            (
-                m.partition,
-                m.to,
-                m.client,
-                std::mem::take(&mut m.delta_vids),
-                m.rerep,
-            )
+            (m.target, std::mem::take(&mut m.delta_vids))
         })
     };
-    let Some((partition, to, client, delta, rerep)) = taken else {
+    let Some((target, delta)) = taken else {
         return;
     };
     let pairs = sh
         .partition
         .export_where(|v| delta.contains(&v))
         .unwrap_or_default();
-    ship_migrate_chunks(sh, mig, partition, to, client, pairs, 1, true, rerep);
+    ship_migrate_chunks(sh, mig, target, pairs, 1, true);
 }
 
 /// Chunk raw store triples into [`MIGRATE_CHUNK_PAIRS`]-sized
@@ -1852,17 +1809,13 @@ fn handle_migrate_cutover(sh: &Arc<Shared>, mig: TravelId) {
 /// `mark_last` the final chunk carries `last = true` (an empty export
 /// still ships one empty last chunk so the target always acks the
 /// phase); without it no chunk does — post-seal forwards expect no ack.
-#[allow(clippy::too_many_arguments)]
 fn ship_migrate_chunks(
     sh: &Arc<Shared>,
     mig: TravelId,
-    partition: usize,
-    to: usize,
-    client: usize,
+    target: CopyTarget,
     pairs: Vec<gt_graph::storage::RawTriple>,
     phase: u8,
     mark_last: bool,
-    rerep: bool,
 ) {
     let mut chunks: Vec<Vec<gt_graph::storage::RawTriple>> = Vec::new();
     let mut it = pairs.into_iter().peekable();
@@ -1873,34 +1826,27 @@ fn ship_migrate_chunks(
         chunks.push(Vec::new());
     }
     let n = chunks.len();
+    match target.kind {
+        CopyKind::Move => sh
+            .metrics
+            .migrate_chunks_out
+            .fetch_add(n as u64, Ordering::Relaxed),
+        CopyKind::AddReplica => sh
+            .metrics
+            .rereplicate_chunks_out
+            .fetch_add(n as u64, Ordering::Relaxed),
+    };
     for (i, chunk) in chunks.into_iter().enumerate() {
-        let counter = if rerep {
-            &sh.metrics.rereplicate_chunks_out
-        } else {
-            &sh.metrics.migrate_chunks_out
+        let msg = Msg::MigrateData {
+            mig,
+            partition: target.partition,
+            pairs: chunk,
+            phase,
+            last: mark_last && i + 1 == n,
+            client: target.client,
+            kind: target.kind,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let last = mark_last && i + 1 == n;
-        let msg = if rerep {
-            Msg::ReReplicateData {
-                mig,
-                partition,
-                pairs: chunk,
-                phase,
-                last,
-                client,
-            }
-        } else {
-            Msg::MigrateData {
-                mig,
-                partition,
-                pairs: chunk,
-                phase,
-                last,
-                client,
-            }
-        };
-        let _ = sh.ep.send(to, msg);
+        let _ = sh.ep.send(target.to, msg);
     }
 }
 

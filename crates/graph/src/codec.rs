@@ -6,9 +6,11 @@
 //! makes the §VI layout's "edges of one vertex stored together by type"
 //! a sequential scan.
 
-use crate::model::{Props, Vertex, VertexId};
+use crate::filter::{Cond, FilterSet, PropFilter};
+use crate::model::{Edge, Props, Vertex, VertexId};
 use crate::value::PropValue;
 use bytes::Bytes;
+use gt_proto::{ProtoError, Reader, Wire};
 
 const TAG_INT: u8 = 1;
 const TAG_FLOAT: u8 = 2;
@@ -166,6 +168,62 @@ pub fn decode_edge_key(key: &[u8]) -> Option<(VertexId, String, VertexId)> {
     let label = String::from_utf8(key[9..9 + llen].to_vec()).ok()?;
     let dst = VertexId::from_be_bytes(key[9 + llen..].try_into().ok()?);
     Some((src, label, dst))
+}
+
+// Socket wire forms (`gt_proto::Wire`): vertices and edges carry their
+// storage encodings verbatim, so each type has one byte-level truth.
+
+gt_proto::wire_struct! {
+    VertexId { 0 }
+    PropFilter { key, cond }
+    FilterSet { 0 }
+}
+
+gt_proto::wire_enum! {
+    PropValue {
+        1 => Int(i),
+        2 => Float(f),
+        3 => Str(s),
+        4 => Bool(b),
+    }
+}
+
+gt_proto::wire_enum! {
+    Cond {
+        1 => Eq(v),
+        2 => In(vs),
+        3 => Range(lo, hi),
+    }
+}
+
+impl Wire for Vertex {
+    const MIN: usize = 8 + 4; // id + record length prefix
+    fn put(&self, out: &mut Vec<u8>) {
+        self.id.put(out);
+        u8::put_seq(&encode_vertex(self), out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
+        let id = VertexId::get(r)?;
+        decode_vertex(id, &u8::get_seq(r)?).ok_or(ProtoError::Malformed)
+    }
+}
+
+impl Wire for Edge {
+    const MIN: usize = 8 + 4 + 8 + 4; // src, label, dst, props prefix
+    fn put(&self, out: &mut Vec<u8>) {
+        self.src.put(out);
+        self.label.put(out);
+        self.dst.put(out);
+        u8::put_seq(&encode_props(&self.props), out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
+        Ok(Edge {
+            src: VertexId::get(r)?,
+            label: String::get(r)?,
+            dst: VertexId::get(r)?,
+            props: decode_props(&u8::get_seq(r)?).ok_or(ProtoError::Malformed)?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -61,6 +61,11 @@ pub struct PlacementMap {
     pub n_servers: usize,
 }
 
+gt_proto::wire_struct! {
+    PartitionEntry { primary, replicas }
+    PlacementMap { version, n_servers, entries, decommissioned }
+}
+
 impl PlacementMap {
     /// The initial placement of an `n_servers` cluster with replication
     /// factor `rf`: one partition per server, partition `p` primaried by

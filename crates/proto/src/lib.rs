@@ -33,6 +33,9 @@
 
 use std::io::{Read, Write};
 
+mod wire;
+pub use wire::{decode_exact, min_of, Reader, Wire, MAX_BOX_DEPTH};
+
 /// Highest protocol version this build speaks.
 pub const PROTOCOL_VERSION: u16 = 1;
 /// Lowest protocol version this build still accepts.
@@ -67,6 +70,9 @@ pub enum ProtoError {
     Oversize(usize),
     /// Trailing bytes after a complete message.
     TrailingBytes(usize),
+    /// A field failed validation, or values nest deeper than
+    /// [`MAX_BOX_DEPTH`].
+    Malformed,
 }
 
 impl std::fmt::Display for ProtoError {
@@ -77,6 +83,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
             ProtoError::Oversize(n) => write!(f, "frame of {n} bytes exceeds {MAX_FRAME}"),
             ProtoError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
+            ProtoError::Malformed => write!(f, "malformed field"),
         }
     }
 }
@@ -238,392 +245,70 @@ pub enum ServerMsg {
 }
 
 // ------------------------------------------------------------------
-// Binary encoding. All integers little-endian; strings and sequences
-// u32-length-prefixed; Options are a 0/1 presence byte.
+// Binary encoding: one tag table per enum (see [`wire_enum!`]). Tags
+// are append-only.
 // ------------------------------------------------------------------
 
-const CT_HELLO: u8 = 1;
-const CT_SUBMIT: u8 = 2;
-const CT_PROGRESS: u8 = 3;
-const CT_CANCEL: u8 = 4;
-const CT_METRICS: u8 = 5;
-const CT_GOODBYE: u8 = 6;
-
-const ST_HELLO_ACK: u8 = 1;
-const ST_UNSUPPORTED: u8 = 2;
-const ST_PROGRESS: u8 = 3;
-const ST_RESULT: u8 = 4;
-const ST_ERROR: u8 = 5;
-const ST_METRICS_REPORT: u8 = 6;
-
-const ET_TIMEOUT: u8 = 1;
-const ET_COORDINATOR_LOST: u8 = 2;
-const ET_CANCELLED: u8 = 3;
-const ET_FAILOVER_STALLED: u8 = 4;
-const ET_QUERY: u8 = 5;
-const ET_THROTTLED: u8 = 6;
-const ET_SERVER: u8 = 7;
-
-/// Bounds-checked little-endian reader over a payload.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+wire_struct! {
+    SubmitOpts { deadline_ms }
+    WireProgress { created, terminated, outstanding_by_depth }
 }
 
-impl<'a> Reader<'a> {
-    /// Read from the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.remaining() < n {
-            return Err(ProtoError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Little-endian u16.
-    pub fn u16(&mut self) -> Result<u16, ProtoError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, ProtoError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, ProtoError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// u32-length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, ProtoError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME {
-            return Err(ProtoError::Oversize(n));
-        }
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| ProtoError::BadUtf8)
-    }
-
-    /// Error unless the whole payload was consumed.
-    pub fn finish(self) -> Result<(), ProtoError> {
-        if self.remaining() != 0 {
-            Err(ProtoError::TrailingBytes(self.remaining()))
-        } else {
-            Ok(())
-        }
+wire_enum! {
+    WireError {
+        1 => Timeout { attempts, last_progress },
+        2 => CoordinatorLost,
+        3 => Cancelled,
+        4 => FailoverStalled,
+        5 => Query(msg),
+        6 => Throttled { retry_after_ms },
+        7 => Server(msg),
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_progress(out: &mut Vec<u8>, p: &WireProgress) {
-    put_u64(out, p.created);
-    put_u64(out, p.terminated);
-    put_u32(out, p.outstanding_by_depth.len() as u32);
-    for &(d, n) in &p.outstanding_by_depth {
-        put_u16(out, d);
-        put_u64(out, n);
+wire_enum! {
+    ClientMsg {
+        1 => Hello { version, tenant },
+        2 => Submit { id, gtravel, opts },
+        3 => Progress { id },
+        4 => Cancel { id },
+        5 => Metrics,
+        6 => Goodbye,
     }
 }
 
-fn read_progress(r: &mut Reader<'_>) -> Result<WireProgress, ProtoError> {
-    let created = r.u64()?;
-    let terminated = r.u64()?;
-    let n = r.u32()? as usize;
-    if n > MAX_FRAME / 10 {
-        return Err(ProtoError::Oversize(n));
-    }
-    let mut outstanding_by_depth = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let d = r.u16()?;
-        let c = r.u64()?;
-        outstanding_by_depth.push((d, c));
-    }
-    Ok(WireProgress {
-        created,
-        terminated,
-        outstanding_by_depth,
-    })
-}
-
-fn put_error(out: &mut Vec<u8>, e: &WireError) {
-    match e {
-        WireError::Timeout {
-            attempts,
-            last_progress,
-        } => {
-            out.push(ET_TIMEOUT);
-            put_u32(out, *attempts);
-            match last_progress {
-                Some(p) => {
-                    out.push(1);
-                    put_progress(out, p);
-                }
-                None => out.push(0),
-            }
-        }
-        WireError::CoordinatorLost => out.push(ET_COORDINATOR_LOST),
-        WireError::Cancelled => out.push(ET_CANCELLED),
-        WireError::FailoverStalled => out.push(ET_FAILOVER_STALLED),
-        WireError::Query(msg) => {
-            out.push(ET_QUERY);
-            put_str(out, msg);
-        }
-        WireError::Throttled { retry_after_ms } => {
-            out.push(ET_THROTTLED);
-            put_u64(out, *retry_after_ms);
-        }
-        WireError::Server(msg) => {
-            out.push(ET_SERVER);
-            put_str(out, msg);
-        }
-    }
-}
-
-fn read_error(r: &mut Reader<'_>) -> Result<WireError, ProtoError> {
-    let tag = r.u8()?;
-    match tag {
-        ET_TIMEOUT => {
-            let attempts = r.u32()?;
-            let last_progress = match r.u8()? {
-                0 => None,
-                1 => Some(read_progress(r)?),
-                t => return Err(ProtoError::BadTag(t)),
-            };
-            Ok(WireError::Timeout {
-                attempts,
-                last_progress,
-            })
-        }
-        ET_COORDINATOR_LOST => Ok(WireError::CoordinatorLost),
-        ET_CANCELLED => Ok(WireError::Cancelled),
-        ET_FAILOVER_STALLED => Ok(WireError::FailoverStalled),
-        ET_QUERY => Ok(WireError::Query(r.string()?)),
-        ET_THROTTLED => Ok(WireError::Throttled {
-            retry_after_ms: r.u64()?,
-        }),
-        ET_SERVER => Ok(WireError::Server(r.string()?)),
-        other => Err(ProtoError::BadTag(other)),
+wire_enum! {
+    ServerMsg {
+        1 => HelloAck { version },
+        2 => Unsupported { min, max },
+        3 => Progress { id, progress },
+        4 => Result { id, by_depth, progress, elapsed_us },
+        5 => Error { id, error },
+        6 => MetricsReport { counters },
     }
 }
 
 impl ClientMsg {
     /// Append this message's binary form (tag + fields) to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientMsg::Hello { version, tenant } => {
-                out.push(CT_HELLO);
-                put_u16(out, *version);
-                put_str(out, tenant);
-            }
-            ClientMsg::Submit { id, gtravel, opts } => {
-                out.push(CT_SUBMIT);
-                put_u64(out, *id);
-                put_str(out, gtravel);
-                match opts.deadline_ms {
-                    Some(ms) => {
-                        out.push(1);
-                        put_u64(out, ms);
-                    }
-                    None => out.push(0),
-                }
-            }
-            ClientMsg::Progress { id } => {
-                out.push(CT_PROGRESS);
-                put_u64(out, *id);
-            }
-            ClientMsg::Cancel { id } => {
-                out.push(CT_CANCEL);
-                put_u64(out, *id);
-            }
-            ClientMsg::Metrics => out.push(CT_METRICS),
-            ClientMsg::Goodbye => out.push(CT_GOODBYE),
-        }
+        self.put(out);
     }
 
     /// Decode one message from exactly `buf`.
     pub fn decode(buf: &[u8]) -> Result<ClientMsg, ProtoError> {
-        let mut r = Reader::new(buf);
-        let tag = r.u8()?;
-        let msg = match tag {
-            CT_HELLO => ClientMsg::Hello {
-                version: r.u16()?,
-                tenant: r.string()?,
-            },
-            CT_SUBMIT => {
-                let id = r.u64()?;
-                let gtravel = r.string()?;
-                let deadline_ms = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    t => return Err(ProtoError::BadTag(t)),
-                };
-                ClientMsg::Submit {
-                    id,
-                    gtravel,
-                    opts: SubmitOpts { deadline_ms },
-                }
-            }
-            CT_PROGRESS => ClientMsg::Progress { id: r.u64()? },
-            CT_CANCEL => ClientMsg::Cancel { id: r.u64()? },
-            CT_METRICS => ClientMsg::Metrics,
-            CT_GOODBYE => ClientMsg::Goodbye,
-            other => return Err(ProtoError::BadTag(other)),
-        };
-        r.finish()?;
-        Ok(msg)
+        decode_exact(buf)
     }
 }
 
 impl ServerMsg {
     /// Append this message's binary form (tag + fields) to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ServerMsg::HelloAck { version } => {
-                out.push(ST_HELLO_ACK);
-                put_u16(out, *version);
-            }
-            ServerMsg::Unsupported { min, max } => {
-                out.push(ST_UNSUPPORTED);
-                put_u16(out, *min);
-                put_u16(out, *max);
-            }
-            ServerMsg::Progress { id, progress } => {
-                out.push(ST_PROGRESS);
-                put_u64(out, *id);
-                put_progress(out, progress);
-            }
-            ServerMsg::Result {
-                id,
-                by_depth,
-                progress,
-                elapsed_us,
-            } => {
-                out.push(ST_RESULT);
-                put_u64(out, *id);
-                put_u32(out, by_depth.len() as u32);
-                for (d, vs) in by_depth {
-                    put_u16(out, *d);
-                    put_u32(out, vs.len() as u32);
-                    for v in vs {
-                        put_u64(out, *v);
-                    }
-                }
-                put_progress(out, progress);
-                put_u64(out, *elapsed_us);
-            }
-            ServerMsg::Error { id, error } => {
-                out.push(ST_ERROR);
-                put_u64(out, *id);
-                put_error(out, error);
-            }
-            ServerMsg::MetricsReport { counters } => {
-                out.push(ST_METRICS_REPORT);
-                put_u32(out, counters.len() as u32);
-                for (k, v) in counters {
-                    put_str(out, k);
-                    put_u64(out, *v);
-                }
-            }
-        }
+        self.put(out);
     }
 
     /// Decode one message from exactly `buf`.
     pub fn decode(buf: &[u8]) -> Result<ServerMsg, ProtoError> {
-        let mut r = Reader::new(buf);
-        let tag = r.u8()?;
-        let msg = match tag {
-            ST_HELLO_ACK => ServerMsg::HelloAck { version: r.u16()? },
-            ST_UNSUPPORTED => ServerMsg::Unsupported {
-                min: r.u16()?,
-                max: r.u16()?,
-            },
-            ST_PROGRESS => ServerMsg::Progress {
-                id: r.u64()?,
-                progress: read_progress(&mut r)?,
-            },
-            ST_RESULT => {
-                let id = r.u64()?;
-                let nd = r.u32()? as usize;
-                if nd > MAX_FRAME / 6 {
-                    return Err(ProtoError::Oversize(nd));
-                }
-                let mut by_depth = Vec::with_capacity(nd.min(1024));
-                for _ in 0..nd {
-                    let d = r.u16()?;
-                    let nv = r.u32()? as usize;
-                    if nv > MAX_FRAME / 8 {
-                        return Err(ProtoError::Oversize(nv));
-                    }
-                    let mut vs = Vec::with_capacity(nv.min(65_536));
-                    for _ in 0..nv {
-                        vs.push(r.u64()?);
-                    }
-                    by_depth.push((d, vs));
-                }
-                let progress = read_progress(&mut r)?;
-                let elapsed_us = r.u64()?;
-                ServerMsg::Result {
-                    id,
-                    by_depth,
-                    progress,
-                    elapsed_us,
-                }
-            }
-            ST_ERROR => ServerMsg::Error {
-                id: r.u64()?,
-                error: read_error(&mut r)?,
-            },
-            ST_METRICS_REPORT => {
-                let n = r.u32()? as usize;
-                if n > MAX_FRAME / 13 {
-                    return Err(ProtoError::Oversize(n));
-                }
-                let mut counters = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let k = r.string()?;
-                    let v = r.u64()?;
-                    counters.push((k, v));
-                }
-                ServerMsg::MetricsReport { counters }
-            }
-            other => return Err(ProtoError::BadTag(other)),
-        };
-        r.finish()?;
-        Ok(msg)
+        decode_exact(buf)
     }
 }
 
@@ -688,6 +373,8 @@ pub fn send_server<W: Write>(w: &mut W, msg: &ServerMsg) -> std::io::Result<()> 
 mod tests {
     use super::*;
 
+    const CT_HELLO: u8 = 1;
+
     fn rt_client(m: ClientMsg) {
         let mut buf = Vec::new();
         m.encode(&mut buf);
@@ -700,48 +387,50 @@ mod tests {
         assert_eq!(ServerMsg::decode(&buf), Ok(m));
     }
 
-    #[test]
-    fn client_round_trips() {
-        rt_client(ClientMsg::Hello {
-            version: 1,
-            tenant: "acme".into(),
-        });
-        rt_client(ClientMsg::Submit {
-            id: 7,
-            gtravel: "v(1).e('knows').rtn()".into(),
-            opts: SubmitOpts {
-                deadline_ms: Some(250),
+    fn client_samples() -> Vec<ClientMsg> {
+        vec![
+            ClientMsg::Hello {
+                version: 1,
+                tenant: "acme".into(),
             },
-        });
-        rt_client(ClientMsg::Submit {
-            id: 8,
-            gtravel: "v()".into(),
-            opts: SubmitOpts::default(),
-        });
-        rt_client(ClientMsg::Progress { id: 9 });
-        rt_client(ClientMsg::Cancel { id: 10 });
-        rt_client(ClientMsg::Metrics);
-        rt_client(ClientMsg::Goodbye);
+            ClientMsg::Submit {
+                id: 7,
+                gtravel: "v(1).e('knows').rtn()".into(),
+                opts: SubmitOpts {
+                    deadline_ms: Some(250),
+                },
+            },
+            ClientMsg::Submit {
+                id: 8,
+                gtravel: "v()".into(),
+                opts: SubmitOpts::default(),
+            },
+            ClientMsg::Progress { id: 9 },
+            ClientMsg::Cancel { id: 10 },
+            ClientMsg::Metrics,
+            ClientMsg::Goodbye,
+        ]
     }
 
-    #[test]
-    fn server_round_trips() {
-        rt_server(ServerMsg::HelloAck { version: 1 });
-        rt_server(ServerMsg::Unsupported { min: 1, max: 1 });
-        rt_server(ServerMsg::Progress {
-            id: 3,
-            progress: WireProgress {
-                created: 10,
-                terminated: 4,
-                outstanding_by_depth: vec![(0, 2), (1, 4)],
+    fn server_samples() -> Vec<ServerMsg> {
+        let mut msgs = vec![
+            ServerMsg::HelloAck { version: 1 },
+            ServerMsg::Unsupported { min: 1, max: 1 },
+            ServerMsg::Progress {
+                id: 3,
+                progress: WireProgress {
+                    created: 10,
+                    terminated: 4,
+                    outstanding_by_depth: vec![(0, 2), (1, 4)],
+                },
             },
-        });
-        rt_server(ServerMsg::Result {
-            id: 4,
-            by_depth: vec![(1, vec![5, 9]), (2, vec![])],
-            progress: WireProgress::default(),
-            elapsed_us: 1234,
-        });
+            ServerMsg::Result {
+                id: 4,
+                by_depth: vec![(1, vec![5, 9]), (2, vec![])],
+                progress: WireProgress::default(),
+                elapsed_us: 1234,
+            },
+        ];
         for error in [
             WireError::Timeout {
                 attempts: 3,
@@ -762,11 +451,53 @@ mod tests {
             WireError::Throttled { retry_after_ms: 50 },
             WireError::Server("oops".into()),
         ] {
-            rt_server(ServerMsg::Error { id: 5, error });
+            msgs.push(ServerMsg::Error { id: 5, error });
         }
-        rt_server(ServerMsg::MetricsReport {
+        msgs.push(ServerMsg::MetricsReport {
             counters: vec![("qos_admitted_total".into(), 12)],
         });
+        msgs
+    }
+
+    #[test]
+    fn client_round_trips() {
+        for m in client_samples() {
+            rt_client(m);
+        }
+    }
+
+    #[test]
+    fn server_round_trips() {
+        for m in server_samples() {
+            rt_server(m);
+        }
+    }
+
+    /// `Enum::Variant hex` for one sample, in the golden file's format.
+    fn golden_line(ty: &str, debug: String, encoded: Vec<u8>) -> String {
+        let variant: String = debug.chars().take_while(|c| c.is_alphanumeric()).collect();
+        let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+        format!("{ty}::{variant} {hex}")
+    }
+
+    #[test]
+    fn encodings_match_golden_bytes() {
+        let mut lines = Vec::new();
+        for m in client_samples() {
+            let mut buf = Vec::new();
+            m.encode(&mut buf);
+            lines.push(golden_line("ClientMsg", format!("{m:?}"), buf));
+        }
+        for m in server_samples() {
+            let mut buf = Vec::new();
+            m.encode(&mut buf);
+            lines.push(golden_line("ServerMsg", format!("{m:?}"), buf));
+        }
+        let golden: Vec<&str> = include_str!("../tests/golden.hex")
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
+        assert_eq!(lines, golden);
     }
 
     #[test]
