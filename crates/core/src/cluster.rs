@@ -2177,9 +2177,12 @@ impl ClusterState {
         out
     }
 
-    /// Zero every server's counters (between experiment runs).
+    /// Zero every server's counters (between experiment runs), the
+    /// store-side MVCC counters included: [`Self::metrics`] would
+    /// otherwise mirror their lifetime values straight back in.
     pub fn reset_metrics(&self) {
         for s in &self.slots {
+            s.partition.lock().store().reset_version_stats();
             s.metrics.reset();
         }
     }

@@ -7,127 +7,188 @@
 //! requests received in one server during the traversal." These counters
 //! regenerate Fig. 7; the queue/messaging counters support the remaining
 //! analysis.
+//!
+//! Every counter is declared once, as a row of the `counters!` table
+//! below; the structs and the dormancy groups are generated from it.
 
 use crate::TravelId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cap on travels tracked per server; the oldest (smallest id) entries
 /// are pruned beyond this, bounding memory across long multi-tenant runs.
 const MAX_TRACKED_TRAVELS: usize = 512;
 
-/// Lock-free counters for one backend server.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
+/// The machinery a counter measures. Each dormancy test switches one
+/// machinery off and asserts every counter of its group is exactly zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Group {
+    /// The paper's visit instruments plus queue and messaging counters.
+    Traversal,
+    /// Reliable delivery, chaos absorption and crash recovery.
+    Fault,
+    /// Coordinator failover (reported with [`Group::Fault`] too).
+    Failover,
+    /// Map propagation, write/ledger replication and shard migration.
+    Placement,
+    /// Failure detection, promotion, re-replication and replica reads.
+    SelfHeal,
+    /// MVCC view pinning, versioned reads and compaction deferral.
+    Snapshot,
+}
+
+/// The counter table. Each row (`doc, name: Group`) generates a
+/// [`ServerMetrics`] atomic, the same-named [`MetricsSnapshot`] field and
+/// its share of `snapshot()`, `reset()` and [`MetricsSnapshot::named`].
+/// gt-lint reads rows as counters: one never incremented is a finding.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident: $group:ident,)*) => {
+        /// Lock-free counters for one backend server.
+        #[derive(Debug, Default)]
+        pub struct ServerMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+            /// Per-travel splits of the visit and queue counters (bounded
+            /// to [`MAX_TRACKED_TRAVELS`] entries).
+            per_travel: Mutex<BTreeMap<TravelId, TravelMetrics>>,
+        }
+
+        /// Point-in-time copy of [`ServerMetrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServerMetrics {
+            /// Plain-value snapshot.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Zero every counter (between experiment runs).
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+                self.per_travel.lock().clear();
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every counter as `(name, group, value)`, in table order.
+            pub fn named(&self) -> Vec<(&'static str, Group, u64)> {
+                vec![$((stringify!($name), Group::$group, self.$name),)*]
+            }
+        }
+    };
+}
+
+counters! {
     /// Vertex requests whose `(travel, step, vertex)` triple hit the
     /// traversal-affiliate cache and were abandoned.
-    pub redundant_visits: AtomicU64,
+    redundant_visits: Traversal,
     /// Vertex requests served by merging with a same-vertex request at a
     /// different step (one disk access amortized over several steps).
-    pub combined_visits: AtomicU64,
+    combined_visits: Traversal,
     /// Vertex requests that performed a real storage access.
-    pub real_io_visits: AtomicU64,
+    real_io_visits: Traversal,
     /// Traversal-request messages received.
-    pub requests_received: AtomicU64,
+    requests_received: Traversal,
     /// Traversal-request messages dispatched to downstream servers.
-    pub requests_dispatched: AtomicU64,
+    requests_dispatched: Traversal,
     /// Result vertices sent toward the coordinator / report destination.
-    pub results_sent: AtomicU64,
+    results_sent: Traversal,
     /// High-water mark of the local request queue.
-    pub queue_peak: AtomicUsize,
+    queue_peak: Traversal,
     /// Straggler delay events injected on this server (Fig. 11 model).
-    pub injected_delays: AtomicU64,
+    injected_delays: Traversal,
     /// Relay retransmissions sent (reliable-delivery layer; zero with
     /// chaos off).
-    pub relay_retries: AtomicU64,
+    relay_retries: Fault,
     /// Relayed messages received more than once and deduped.
-    pub redeliveries: AtomicU64,
+    redeliveries: Fault,
     /// Relayed messages discarded by epoch fencing (stale pre-crash
     /// incarnation of a peer).
-    pub stale_epoch_dropped: AtomicU64,
+    stale_epoch_dropped: Fault,
     /// Scripted crashes this server executed.
-    pub crashes: AtomicU64,
+    crashes: Fault,
     /// Restart-and-recovery cycles this server completed.
-    pub recoveries: AtomicU64,
+    recoveries: Fault,
     /// Travels whose ledger this server rebuilt from a durable event
     /// stream (coordinator-failover takeovers).
-    pub ledger_replays: AtomicU64,
+    ledger_replays: Failover,
     /// Durable ledger events applied across all replays.
-    pub ledger_events_replayed: AtomicU64,
+    ledger_events_replayed: Failover,
     /// Coordinator failovers this server absorbed as the successor.
-    pub failovers: AtomicU64,
+    failovers: Failover,
     /// Per-travel re-announce reports received while recovering a
     /// ledger (one per live server per failover).
-    pub reannounce_msgs: AtomicU64,
+    reannounce_msgs: Failover,
     /// Relayed messages discarded by travel-epoch fencing (stale work
     /// from a pre-failover execution tree).
-    pub stale_travel_epoch_dropped: AtomicU64,
+    stale_travel_epoch_dropped: Failover,
     /// Placement-map installs accepted by this server (epoch-fenced; a
     /// stale map is rejected and not counted).
-    pub placement_updates: AtomicU64,
+    placement_updates: Placement,
     /// Graph mutations applied on this server as a replica (shipped from
     /// the partition primary).
-    pub replica_writes: AtomicU64,
+    replica_writes: Placement,
     /// Durable travel-ledger blobs this server stored on behalf of a
     /// peer's ledger (coordinator-loss protection at rf >= 2).
-    pub ledger_blobs_replicated: AtomicU64,
+    ledger_blobs_replicated: Placement,
     /// Migration snapshot/delta chunks sent by this server as a source.
-    pub migrate_chunks_out: AtomicU64,
+    migrate_chunks_out: Placement,
     /// Migration snapshot/delta chunks applied by this server as a target.
-    pub migrate_chunks_in: AtomicU64,
+    migrate_chunks_in: Placement,
     /// Sent-journal compactions performed (bounding per-travel memory).
-    pub journal_compactions: AtomicU64,
+    journal_compactions: Traversal,
     /// High-water mark of live sent-journal entries across all travels.
-    pub journal_peak_entries: AtomicU64,
+    journal_peak_entries: Traversal,
     /// Heartbeat messages this server sent to peers (failure detector).
-    pub heartbeats_sent: AtomicU64,
+    heartbeats_sent: SelfHeal,
     /// Heartbeat messages this server received from peers.
-    pub heartbeats_recv: AtomicU64,
+    heartbeats_recv: SelfHeal,
     /// Suspicions this server raised (phi crossed the threshold).
-    pub suspicions_raised: AtomicU64,
+    suspicions_raised: SelfHeal,
     /// Suspicions the healer rejected because the peer was in fact alive
     /// (delay-induced false positives; the detector window then resets).
-    pub false_suspicions: AtomicU64,
+    false_suspicions: SelfHeal,
     /// Automatic promotions executed by the self-healing loop on behalf
     /// of partitions this server now primaries (no client involvement).
-    pub auto_promotions: AtomicU64,
+    auto_promotions: SelfHeal,
     /// Background re-replication flows this server completed as the new
     /// replica target (restoring `rf` copies after a promotion).
-    pub rereplications: AtomicU64,
+    rereplications: SelfHeal,
     /// Re-replication snapshot/delta chunks sent by this server as the
     /// source primary.
-    pub rereplicate_chunks_out: AtomicU64,
+    rereplicate_chunks_out: SelfHeal,
     /// Re-replication snapshot/delta chunks applied by this server as the
     /// new replica target.
-    pub rereplicate_chunks_in: AtomicU64,
+    rereplicate_chunks_in: SelfHeal,
     /// Point/frontier reads this server served (or the client routed) to
     /// a non-primary holder (replica-read routing).
-    pub replica_reads: AtomicU64,
+    replica_reads: SelfHeal,
     /// Reads parked at a replica until its applied-write watermark caught
     /// up with the client's read barrier (read-your-replication rule).
-    pub read_barrier_stalls: AtomicU64,
+    read_barrier_stalls: SelfHeal,
     /// Snapshot read views pinned on this server's store (mirrored from
     /// the store's MVCC machinery; one per admitted travel under
     /// snapshot isolation).
-    pub views_pinned: AtomicU64,
+    views_pinned: Snapshot,
     /// High-water mark of simultaneously pinned views on this server.
-    pub view_pin_peak: AtomicU64,
+    view_pin_peak: Snapshot,
     /// Versioned reads that skipped at least one version newer than the
     /// travel's read view (the isolation machinery actually mattered).
-    pub stale_seq_reads: AtomicU64,
+    stale_seq_reads: Snapshot,
     /// Store compactions deferred because a pinned view could still
     /// observe a version the merge would have dropped.
-    pub compactions_deferred: AtomicU64,
-    /// Per-travel splits of the same counters (concurrent-travel
-    /// accounting; bounded to [`MAX_TRACKED_TRAVELS`] entries).
-    per_travel: Mutex<BTreeMap<TravelId, TravelMetrics>>,
+    compactions_deferred: Snapshot,
 }
 
 impl ServerMetrics {
     /// Record a new queue length, keeping the maximum.
     pub fn observe_queue_len(&self, len: usize) {
-        self.queue_peak.fetch_max(len, Ordering::Relaxed);
+        self.queue_peak.fetch_max(len as u64, Ordering::Relaxed);
     }
 
     /// Update one travel's counters, creating (and bounding) the entry.
@@ -155,95 +216,6 @@ impl ServerMetrics {
             .iter()
             .map(|(&t, &m)| (t, m))
             .collect()
-    }
-
-    /// Plain-value snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            redundant_visits: self.redundant_visits.load(Ordering::Relaxed),
-            combined_visits: self.combined_visits.load(Ordering::Relaxed),
-            real_io_visits: self.real_io_visits.load(Ordering::Relaxed),
-            requests_received: self.requests_received.load(Ordering::Relaxed),
-            requests_dispatched: self.requests_dispatched.load(Ordering::Relaxed),
-            results_sent: self.results_sent.load(Ordering::Relaxed),
-            queue_peak: self.queue_peak.load(Ordering::Relaxed),
-            injected_delays: self.injected_delays.load(Ordering::Relaxed),
-            relay_retries: self.relay_retries.load(Ordering::Relaxed),
-            redeliveries: self.redeliveries.load(Ordering::Relaxed),
-            stale_epoch_dropped: self.stale_epoch_dropped.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            ledger_replays: self.ledger_replays.load(Ordering::Relaxed),
-            ledger_events_replayed: self.ledger_events_replayed.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            reannounce_msgs: self.reannounce_msgs.load(Ordering::Relaxed),
-            stale_travel_epoch_dropped: self.stale_travel_epoch_dropped.load(Ordering::Relaxed),
-            placement_updates: self.placement_updates.load(Ordering::Relaxed),
-            replica_writes: self.replica_writes.load(Ordering::Relaxed),
-            ledger_blobs_replicated: self.ledger_blobs_replicated.load(Ordering::Relaxed),
-            migrate_chunks_out: self.migrate_chunks_out.load(Ordering::Relaxed),
-            migrate_chunks_in: self.migrate_chunks_in.load(Ordering::Relaxed),
-            journal_compactions: self.journal_compactions.load(Ordering::Relaxed),
-            journal_peak_entries: self.journal_peak_entries.load(Ordering::Relaxed),
-            heartbeats_sent: self.heartbeats_sent.load(Ordering::Relaxed),
-            heartbeats_recv: self.heartbeats_recv.load(Ordering::Relaxed),
-            suspicions_raised: self.suspicions_raised.load(Ordering::Relaxed),
-            false_suspicions: self.false_suspicions.load(Ordering::Relaxed),
-            auto_promotions: self.auto_promotions.load(Ordering::Relaxed),
-            rereplications: self.rereplications.load(Ordering::Relaxed),
-            rereplicate_chunks_out: self.rereplicate_chunks_out.load(Ordering::Relaxed),
-            rereplicate_chunks_in: self.rereplicate_chunks_in.load(Ordering::Relaxed),
-            replica_reads: self.replica_reads.load(Ordering::Relaxed),
-            read_barrier_stalls: self.read_barrier_stalls.load(Ordering::Relaxed),
-            views_pinned: self.views_pinned.load(Ordering::Relaxed),
-            view_pin_peak: self.view_pin_peak.load(Ordering::Relaxed),
-            stale_seq_reads: self.stale_seq_reads.load(Ordering::Relaxed),
-            compactions_deferred: self.compactions_deferred.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero every counter (between experiment runs).
-    pub fn reset(&self) {
-        self.redundant_visits.store(0, Ordering::Relaxed);
-        self.combined_visits.store(0, Ordering::Relaxed);
-        self.real_io_visits.store(0, Ordering::Relaxed);
-        self.requests_received.store(0, Ordering::Relaxed);
-        self.requests_dispatched.store(0, Ordering::Relaxed);
-        self.results_sent.store(0, Ordering::Relaxed);
-        self.queue_peak.store(0, Ordering::Relaxed);
-        self.injected_delays.store(0, Ordering::Relaxed);
-        self.relay_retries.store(0, Ordering::Relaxed);
-        self.redeliveries.store(0, Ordering::Relaxed);
-        self.stale_epoch_dropped.store(0, Ordering::Relaxed);
-        self.crashes.store(0, Ordering::Relaxed);
-        self.recoveries.store(0, Ordering::Relaxed);
-        self.ledger_replays.store(0, Ordering::Relaxed);
-        self.ledger_events_replayed.store(0, Ordering::Relaxed);
-        self.failovers.store(0, Ordering::Relaxed);
-        self.reannounce_msgs.store(0, Ordering::Relaxed);
-        self.stale_travel_epoch_dropped.store(0, Ordering::Relaxed);
-        self.placement_updates.store(0, Ordering::Relaxed);
-        self.replica_writes.store(0, Ordering::Relaxed);
-        self.ledger_blobs_replicated.store(0, Ordering::Relaxed);
-        self.migrate_chunks_out.store(0, Ordering::Relaxed);
-        self.migrate_chunks_in.store(0, Ordering::Relaxed);
-        self.journal_compactions.store(0, Ordering::Relaxed);
-        self.journal_peak_entries.store(0, Ordering::Relaxed);
-        self.heartbeats_sent.store(0, Ordering::Relaxed);
-        self.heartbeats_recv.store(0, Ordering::Relaxed);
-        self.suspicions_raised.store(0, Ordering::Relaxed);
-        self.false_suspicions.store(0, Ordering::Relaxed);
-        self.auto_promotions.store(0, Ordering::Relaxed);
-        self.rereplications.store(0, Ordering::Relaxed);
-        self.rereplicate_chunks_out.store(0, Ordering::Relaxed);
-        self.rereplicate_chunks_in.store(0, Ordering::Relaxed);
-        self.replica_reads.store(0, Ordering::Relaxed);
-        self.read_barrier_stalls.store(0, Ordering::Relaxed);
-        self.views_pinned.store(0, Ordering::Relaxed);
-        self.view_pin_peak.store(0, Ordering::Relaxed);
-        self.stale_seq_reads.store(0, Ordering::Relaxed);
-        self.compactions_deferred.store(0, Ordering::Relaxed);
-        self.per_travel.lock().clear();
     }
 }
 
@@ -280,89 +252,6 @@ impl TravelMetrics {
     }
 }
 
-/// Point-in-time copy of [`ServerMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// See [`ServerMetrics::redundant_visits`].
-    pub redundant_visits: u64,
-    /// See [`ServerMetrics::combined_visits`].
-    pub combined_visits: u64,
-    /// See [`ServerMetrics::real_io_visits`].
-    pub real_io_visits: u64,
-    /// See [`ServerMetrics::requests_received`].
-    pub requests_received: u64,
-    /// See [`ServerMetrics::requests_dispatched`].
-    pub requests_dispatched: u64,
-    /// See [`ServerMetrics::results_sent`].
-    pub results_sent: u64,
-    /// See [`ServerMetrics::queue_peak`].
-    pub queue_peak: usize,
-    /// See [`ServerMetrics::injected_delays`].
-    pub injected_delays: u64,
-    /// See [`ServerMetrics::relay_retries`].
-    pub relay_retries: u64,
-    /// See [`ServerMetrics::redeliveries`].
-    pub redeliveries: u64,
-    /// See [`ServerMetrics::stale_epoch_dropped`].
-    pub stale_epoch_dropped: u64,
-    /// See [`ServerMetrics::crashes`].
-    pub crashes: u64,
-    /// See [`ServerMetrics::recoveries`].
-    pub recoveries: u64,
-    /// See [`ServerMetrics::ledger_replays`].
-    pub ledger_replays: u64,
-    /// See [`ServerMetrics::ledger_events_replayed`].
-    pub ledger_events_replayed: u64,
-    /// See [`ServerMetrics::failovers`].
-    pub failovers: u64,
-    /// See [`ServerMetrics::reannounce_msgs`].
-    pub reannounce_msgs: u64,
-    /// See [`ServerMetrics::stale_travel_epoch_dropped`].
-    pub stale_travel_epoch_dropped: u64,
-    /// See [`ServerMetrics::placement_updates`].
-    pub placement_updates: u64,
-    /// See [`ServerMetrics::replica_writes`].
-    pub replica_writes: u64,
-    /// See [`ServerMetrics::ledger_blobs_replicated`].
-    pub ledger_blobs_replicated: u64,
-    /// See [`ServerMetrics::migrate_chunks_out`].
-    pub migrate_chunks_out: u64,
-    /// See [`ServerMetrics::migrate_chunks_in`].
-    pub migrate_chunks_in: u64,
-    /// See [`ServerMetrics::journal_compactions`].
-    pub journal_compactions: u64,
-    /// See [`ServerMetrics::journal_peak_entries`].
-    pub journal_peak_entries: u64,
-    /// See [`ServerMetrics::heartbeats_sent`].
-    pub heartbeats_sent: u64,
-    /// See [`ServerMetrics::heartbeats_recv`].
-    pub heartbeats_recv: u64,
-    /// See [`ServerMetrics::suspicions_raised`].
-    pub suspicions_raised: u64,
-    /// See [`ServerMetrics::false_suspicions`].
-    pub false_suspicions: u64,
-    /// See [`ServerMetrics::auto_promotions`].
-    pub auto_promotions: u64,
-    /// See [`ServerMetrics::rereplications`].
-    pub rereplications: u64,
-    /// See [`ServerMetrics::rereplicate_chunks_out`].
-    pub rereplicate_chunks_out: u64,
-    /// See [`ServerMetrics::rereplicate_chunks_in`].
-    pub rereplicate_chunks_in: u64,
-    /// See [`ServerMetrics::replica_reads`].
-    pub replica_reads: u64,
-    /// See [`ServerMetrics::read_barrier_stalls`].
-    pub read_barrier_stalls: u64,
-    /// See [`ServerMetrics::views_pinned`].
-    pub views_pinned: u64,
-    /// See [`ServerMetrics::view_pin_peak`].
-    pub view_pin_peak: u64,
-    /// See [`ServerMetrics::stale_seq_reads`].
-    pub stale_seq_reads: u64,
-    /// See [`ServerMetrics::compactions_deferred`].
-    pub compactions_deferred: u64,
-}
-
 impl MetricsSnapshot {
     /// Total vertex requests = redundant + combined + real I/O (§VII-A's
     /// accounting identity).
@@ -370,93 +259,42 @@ impl MetricsSnapshot {
         self.redundant_visits + self.combined_visits + self.real_io_visits
     }
 
-    /// Every counter belonging to the fault machinery (reliable delivery,
-    /// chaos absorption, crash/failover recovery), as `(name, value)`
-    /// pairs. The chaos-off dormancy test asserts each entry is exactly
-    /// zero, so a new fault counter added here is automatically covered —
-    /// and gt-lint's `dead-counter` rule makes sure it cannot be added to
-    /// the struct without being wired up at all.
-    pub fn fault_counters(&self) -> [(&'static str, u64); 10] {
-        [
-            ("relay_retries", self.relay_retries),
-            ("redeliveries", self.redeliveries),
-            ("stale_epoch_dropped", self.stale_epoch_dropped),
-            ("crashes", self.crashes),
-            ("recoveries", self.recoveries),
-            ("ledger_replays", self.ledger_replays),
-            ("ledger_events_replayed", self.ledger_events_replayed),
-            ("failovers", self.failovers),
-            ("reannounce_msgs", self.reannounce_msgs),
-            (
-                "stale_travel_epoch_dropped",
-                self.stale_travel_epoch_dropped,
-            ),
-        ]
+    /// `(name, value)` of every row tagged with one of `groups`.
+    fn select(&self, groups: &[Group]) -> Vec<(&'static str, u64)> {
+        self.named()
+            .into_iter()
+            .filter(|(_, g, _)| groups.contains(g))
+            .map(|(name, _, v)| (name, v))
+            .collect()
     }
 
-    /// The failover-specific subset of [`Self::fault_counters`]: counters
-    /// that must stay zero on a healthy cluster even when reliable
-    /// delivery itself is enabled (retries/redeliveries are legitimate
-    /// under load; a ledger replay never is).
-    pub fn failover_counters(&self) -> [(&'static str, u64); 5] {
-        [
-            ("ledger_replays", self.ledger_replays),
-            ("ledger_events_replayed", self.ledger_events_replayed),
-            ("failovers", self.failovers),
-            ("reannounce_msgs", self.reannounce_msgs),
-            (
-                "stale_travel_epoch_dropped",
-                self.stale_travel_epoch_dropped,
-            ),
-        ]
+    /// Reliable-delivery, chaos and crash/failover counters (`Fault` and
+    /// `Failover` rows): each is exactly zero with chaos off.
+    pub fn fault_counters(&self) -> Vec<(&'static str, u64)> {
+        self.select(&[Group::Fault, Group::Failover])
     }
 
-    /// Every counter belonging to the placement machinery (map
-    /// propagation, write/ledger replication, shard migration). On a
-    /// static single-replica cluster — no `rebalance()`,
-    /// `decommission()`, or `promote()`, replication factor 1 — each of
-    /// these is exactly zero, and the dormancy test asserts so.
-    pub fn placement_counters(&self) -> [(&'static str, u64); 5] {
-        [
-            ("placement_updates", self.placement_updates),
-            ("replica_writes", self.replica_writes),
-            ("ledger_blobs_replicated", self.ledger_blobs_replicated),
-            ("migrate_chunks_out", self.migrate_chunks_out),
-            ("migrate_chunks_in", self.migrate_chunks_in),
-        ]
+    /// The `Failover` rows: zero on a healthy cluster even with reliable
+    /// delivery on (retries are legitimate under load; a replay never is).
+    pub fn failover_counters(&self) -> Vec<(&'static str, u64)> {
+        self.select(&[Group::Failover])
     }
 
-    /// Every counter belonging to the self-healing machinery (failure
-    /// detection, automatic promotion, background re-replication, replica
-    /// reads). With detection disabled and replica reads off — the
-    /// defaults — each of these is exactly zero on a static cluster, and
-    /// the dormancy test asserts so.
-    pub fn self_heal_counters(&self) -> [(&'static str, u64); 10] {
-        [
-            ("heartbeats_sent", self.heartbeats_sent),
-            ("heartbeats_recv", self.heartbeats_recv),
-            ("suspicions_raised", self.suspicions_raised),
-            ("false_suspicions", self.false_suspicions),
-            ("auto_promotions", self.auto_promotions),
-            ("rereplications", self.rereplications),
-            ("rereplicate_chunks_out", self.rereplicate_chunks_out),
-            ("rereplicate_chunks_in", self.rereplicate_chunks_in),
-            ("replica_reads", self.replica_reads),
-            ("read_barrier_stalls", self.read_barrier_stalls),
-        ]
+    /// The `Placement` rows: zero on a static rf-1 cluster with no
+    /// `rebalance()`, `decommission()` or `promote()`.
+    pub fn placement_counters(&self) -> Vec<(&'static str, u64)> {
+        self.select(&[Group::Placement])
     }
 
-    /// Every counter belonging to the MVCC snapshot machinery (view
-    /// pinning, versioned reads, compaction deferral). With snapshot
-    /// isolation off — the default — each of these is exactly zero, and
-    /// the dormancy test asserts so.
-    pub fn snapshot_counters(&self) -> [(&'static str, u64); 4] {
-        [
-            ("views_pinned", self.views_pinned),
-            ("view_pin_peak", self.view_pin_peak),
-            ("stale_seq_reads", self.stale_seq_reads),
-            ("compactions_deferred", self.compactions_deferred),
-        ]
+    /// The `SelfHeal` rows: zero on a static cluster with detection and
+    /// replica reads off (the defaults).
+    pub fn self_heal_counters(&self) -> Vec<(&'static str, u64)> {
+        self.select(&[Group::SelfHeal])
+    }
+
+    /// The `Snapshot` rows: zero with snapshot isolation off (the default).
+    pub fn snapshot_counters(&self) -> Vec<(&'static str, u64)> {
+        self.select(&[Group::Snapshot])
     }
 }
 
@@ -525,6 +363,86 @@ mod tests {
         assert_eq!(agg.real_io_visits, 2);
         assert_eq!(agg.redundant_visits, 7);
         assert_eq!(m.travel_snapshots().len(), 2);
+    }
+
+    /// Pins each dormancy group's membership: a table edit cannot drop a
+    /// counter from a group and so make its zero-assertion vacuous.
+    #[test]
+    fn dormancy_groups_are_pinned() {
+        let s = MetricsSnapshot::default();
+        let names = |v: Vec<(&'static str, u64)>| -> Vec<&'static str> {
+            v.into_iter().map(|(n, _)| n).collect()
+        };
+        let failover = [
+            "ledger_replays",
+            "ledger_events_replayed",
+            "failovers",
+            "reannounce_msgs",
+            "stale_travel_epoch_dropped",
+        ];
+        let mut fault = vec![
+            "relay_retries",
+            "redeliveries",
+            "stale_epoch_dropped",
+            "crashes",
+            "recoveries",
+        ];
+        fault.extend(failover);
+        assert_eq!(names(s.fault_counters()), fault);
+        assert_eq!(names(s.failover_counters()), failover);
+        assert_eq!(
+            names(s.placement_counters()),
+            [
+                "placement_updates",
+                "replica_writes",
+                "ledger_blobs_replicated",
+                "migrate_chunks_out",
+                "migrate_chunks_in",
+            ]
+        );
+        assert_eq!(
+            names(s.self_heal_counters()),
+            [
+                "heartbeats_sent",
+                "heartbeats_recv",
+                "suspicions_raised",
+                "false_suspicions",
+                "auto_promotions",
+                "rereplications",
+                "rereplicate_chunks_out",
+                "rereplicate_chunks_in",
+                "replica_reads",
+                "read_barrier_stalls",
+            ]
+        );
+        assert_eq!(
+            names(s.snapshot_counters()),
+            [
+                "views_pinned",
+                "view_pin_peak",
+                "stale_seq_reads",
+                "compactions_deferred",
+            ]
+        );
+        let named = s.named();
+        let unique: std::collections::BTreeSet<&str> = named.iter().map(|(n, _, _)| *n).collect();
+        assert_eq!(named.len(), 39);
+        assert_eq!(unique.len(), 39);
+    }
+
+    #[test]
+    fn named_reads_the_snapshot_fields() {
+        let m = ServerMetrics::default();
+        m.crashes.fetch_add(2, Ordering::Relaxed);
+        m.observe_queue_len(4);
+        let s = m.snapshot();
+        let value = |name| s.named().into_iter().find(|(n, _, _)| *n == name);
+        assert_eq!(value("crashes"), Some(("crashes", Group::Fault, 2)));
+        assert_eq!(
+            value("queue_peak"),
+            Some(("queue_peak", Group::Traversal, 4))
+        );
+        assert_eq!(s.fault_counters().iter().map(|(_, v)| v).sum::<u64>(), 2);
     }
 
     #[test]

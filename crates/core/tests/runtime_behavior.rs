@@ -308,7 +308,7 @@ fn queue_peak_grows_under_load() {
     )
     .unwrap();
     cluster.submit(&deep_query(7)).unwrap();
-    let peak: usize = cluster
+    let peak: u64 = cluster
         .metrics()
         .iter()
         .map(|m| m.queue_peak)
@@ -322,19 +322,28 @@ fn queue_peak_grows_under_load() {
 #[test]
 fn reset_metrics_between_runs() {
     let g = fanout_graph(4, 16);
-    let dir = tmp("reset");
-    let cluster = Cluster::build(
-        &g,
-        ClusterConfig::new(&dir, 2),
-        EngineConfig::new(EngineKind::GraphTrek),
-    )
-    .unwrap();
-    cluster.submit(&deep_query(3)).unwrap();
-    assert!(cluster.metrics().iter().any(|m| m.requests_received > 0));
-    cluster.reset_metrics();
-    assert!(cluster.metrics().iter().all(|m| m.requests_received == 0));
-    cluster.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
+    for isolation in [false, true] {
+        let dir = tmp(&format!("reset-{isolation}"));
+        let cluster = Cluster::build(
+            &g,
+            ClusterConfig::new(&dir, 2),
+            EngineConfig::new(EngineKind::GraphTrek).snapshot_isolation(isolation),
+        )
+        .unwrap();
+        cluster.submit(&deep_query(3)).unwrap();
+        let before = cluster.metrics();
+        assert!(before.iter().any(|m| m.requests_received > 0));
+        assert_eq!(before.iter().any(|m| m.views_pinned > 0), isolation);
+        cluster.reset_metrics();
+        for m in cluster.metrics() {
+            assert_eq!(m.requests_received, 0);
+            for (name, value) in m.snapshot_counters() {
+                assert_eq!(value, 0, "{name} survived reset (isolation {isolation})");
+            }
+        }
+        cluster.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

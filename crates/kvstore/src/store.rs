@@ -274,6 +274,13 @@ impl Store {
             .map_or_else(VersionStatsSnapshot::default, |v| v.stats_snapshot())
     }
 
+    /// Zero the versioning counters (a no-op when versioning is off).
+    pub fn reset_version_stats(&self) {
+        if let Some(v) = &self.version {
+            v.stats.reset();
+        }
+    }
+
     /// Root directory of the store.
     pub fn dir(&self) -> &PathBuf {
         &self.cfg.dir

@@ -75,6 +75,16 @@ pub struct VersionStats {
     pub compactions_deferred: AtomicU64,
 }
 
+impl VersionStats {
+    /// Zero every counter (between experiment runs).
+    pub fn reset(&self) {
+        self.views_pinned.store(0, Ordering::Relaxed);
+        self.view_pin_peak.store(0, Ordering::Relaxed);
+        self.stale_seq_reads.store(0, Ordering::Relaxed);
+        self.compactions_deferred.store(0, Ordering::Relaxed);
+    }
+}
+
 /// Plain-value copy of [`VersionStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VersionStatsSnapshot {

@@ -590,7 +590,9 @@ pub fn atomic_fields(files: &[&SourceFile]) -> Vec<AtomicField> {
                 if k + 1 >= close {
                     break;
                 }
+                // `$name: …` in a macro body is a metavariable, not a field.
                 let field_ok = toks[k].kind == TokKind::Ident
+                    && !toks[k - 1].is_punct('$')
                     && toks[k + 1].is_punct(':')
                     && !(k + 2 < close && toks[k + 2].is_punct(':'));
                 if !field_ok {

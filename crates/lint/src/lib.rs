@@ -220,7 +220,15 @@ fn workspace_sets(parsed: &[SourceFile]) -> FileSets<'_> {
                     .contains("crates/net/src/")
         }),
         metrics_decl: pick(&|p| {
-            ends_with(p, "crates/core/src/metrics.rs") || ends_with(p, "crates/net/src/stats.rs")
+            [
+                "core/src/metrics.rs",
+                "net/src/stats.rs",
+                "kvstore/src/version.rs",
+                "kvstore/src/iomodel.rs",
+                "kvstore/src/cache.rs",
+            ]
+            .iter()
+            .any(|n| ends_with(p, &format!("crates/{n}")))
         }),
         metrics_use: pick(&|_| true),
         // The whole protocol surface: every sender and dispatcher lives in

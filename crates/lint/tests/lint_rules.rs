@@ -108,6 +108,28 @@ fn counter_rules_quiet_when_bumped_and_read() {
 }
 
 #[test]
+fn dead_counter_fires_on_unbumped_table_row() {
+    let diags = lint(
+        "counter_table_bad.rs",
+        &["dead-counter", "unsurfaced-counter"],
+    );
+    assert_eq!(diags.len(), 1, "only the `dead` row: {diags:?}");
+    assert_eq!(diags[0].rule, "dead-counter");
+    assert!(diags[0].message.contains("`dead`"), "{diags:?}");
+    // The row's own line, not the macro body's `$name` field.
+    assert_eq!(diags[0].line, 26, "{diags:?}");
+}
+
+#[test]
+fn counter_rules_quiet_on_bumped_table_rows() {
+    assert!(lint(
+        "counter_table_ok.rs",
+        &["dead-counter", "unsurfaced-counter"]
+    )
+    .is_empty());
+}
+
+#[test]
 fn protocol_conformance_fires_on_all_three_shapes() {
     let diags = lint("protocol_bad.rs", &["protocol-conformance"]);
     let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
@@ -203,6 +225,7 @@ fn ok_fixtures_clean_under_all_rules() {
         "fence_ok.rs",
         "panic_ok.rs",
         "counter_ok.rs",
+        "counter_table_ok.rs",
         "protocol_ok.rs",
         "guard_send_ok.rs",
         "atomic_ok.rs",
@@ -225,6 +248,7 @@ fn binary_exit_codes_match_fixture_polarity() {
         "fence_bad.rs",
         "panic_bad.rs",
         "counter_bad.rs",
+        "counter_table_bad.rs",
         "protocol_bad.rs",
         "guard_send_bad.rs",
         "atomic_bad.rs",
